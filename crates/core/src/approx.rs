@@ -3,9 +3,19 @@
 //! Mirrors the Speculator pipeline of §III-B: (1) quantize the input to
 //! INT4 by truncation, (2) dimension-reduce through the ternary projection
 //! (adds only), (3) INT4 GEMV against the QDR weights, (4) dequantize.
+//!
+//! The INT weights are the module's state; their dequantized `f32` matrix
+//! is derived from them once, when the module is built, and every forward
+//! pass reuses it. All constructors — and so [`ApproxLinear::requantized`]
+//! and the fault-injection reassembly through
+//! [`ApproxLinear::from_quantized`] — build the matrix from the weights
+//! they store, so it cannot go stale, and a forward pass gives the same
+//! bits as dequantizing on every call did.
+
+use std::borrow::Cow;
 
 use crate::projection::TernaryProjection;
-use duet_tensor::fixed::{Fixed16Tensor, Int4Tensor};
+use duet_tensor::fixed::{fake_quantize_int4_truncated, Int4Tensor};
 use duet_tensor::rng::Rng;
 use duet_tensor::{ops, Tensor};
 
@@ -40,6 +50,8 @@ pub struct ApproxLinear {
     projection: TernaryProjection,
     /// Quantized weights `[n, k]`.
     weights: Int4Tensor,
+    /// `weights.dequantize()`, computed once at construction.
+    dequantized: Tensor,
     bias: Tensor,
     config: ApproxConfig,
 }
@@ -51,36 +63,16 @@ impl ApproxLinear {
     ///
     /// # Panics
     ///
-    /// Panics if shapes are inconsistent with the projection.
+    /// Panics if shapes are inconsistent with the projection (checked by
+    /// [`ApproxLinear::from_quantized`], which this delegates to).
     pub fn from_parts(
         projection: TernaryProjection,
         w_prime: &Tensor,
         bias: Tensor,
         config: ApproxConfig,
     ) -> Self {
-        assert_eq!(w_prime.shape().rank(), 2, "w' must be [n, k]");
-        assert_eq!(
-            w_prime.shape().dim(1),
-            projection.reduced_dim(),
-            "w' columns must equal reduced dim"
-        );
-        assert_eq!(
-            w_prime.shape().dim(0),
-            bias.len(),
-            "bias must match output count"
-        );
-        assert_eq!(
-            config.reduced_dim,
-            projection.reduced_dim(),
-            "config reduced_dim disagrees with projection"
-        );
         let weights = Int4Tensor::quantize_with_bits(w_prime, config.weight_bits);
-        Self {
-            projection,
-            weights,
-            bias,
-            config,
-        }
+        Self::from_quantized(projection, weights, bias, config)
     }
 
     /// Builds an approximate module directly from already-quantized
@@ -115,9 +107,11 @@ impl ApproxLinear {
             projection.reduced_dim(),
             "config reduced_dim disagrees with projection"
         );
+        let dequantized = weights.dequantize();
         Self {
             projection,
             weights,
+            dequantized,
             bias,
             config,
         }
@@ -153,27 +147,30 @@ impl ApproxLinear {
         self.projection.input_dim()
     }
 
+    /// Step 1 (Quantizer): emulate the INT16→INT4 truncation by
+    /// re-quantizing the float input at `activation_bits` with one scale
+    /// for the whole tensor; 16 bits and above pass the input through.
+    fn quantize_activations<'a>(&self, x: &'a Tensor) -> Cow<'a, Tensor> {
+        match self.config.activation_bits {
+            bits if bits >= 16 => Cow::Borrowed(x),
+            4 => Cow::Owned(fake_quantize_int4_truncated(x)),
+            bits => Cow::Owned(Int4Tensor::quantize_with_bits(x, bits).dequantize()),
+        }
+    }
+
     /// Full hardware-faithful forward pass: quantize → project → INT-GEMV
-    /// → dequantize → add bias.
+    /// → dequantize → add bias. The GEMV runs against the weight matrix
+    /// dequantized once at construction.
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the input dimension.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        // Step 1 (Quantizer): emulate the INT16→INT4 truncation by
-        // re-quantizing the float input at `activation_bits`.
-        let xq = if self.config.activation_bits >= 16 {
-            x.clone()
-        } else if self.config.activation_bits == 4 {
-            Fixed16Tensor::quantize(x).truncate_to_int4().dequantize()
-        } else {
-            Int4Tensor::quantize_with_bits(x, self.config.activation_bits).dequantize()
-        };
+        let xq = self.quantize_activations(x);
         // Step 2 (Alignment Units + Adder Trees): ternary projection.
         let projected = self.projection.project(&xq);
         // Step 3 (Systolic Array): low-precision GEMV.
-        let w = self.weights.dequantize();
-        let mut y = ops::gemv(&w, &projected);
+        let mut y = ops::gemv(&self.dequantized, &projected);
         // Step 4: bias.
         ops::axpy(1.0, &self.bias, &mut y);
         y
@@ -188,16 +185,9 @@ impl ApproxLinear {
     /// Panics if `m` is not `[d, cols]`.
     pub fn forward_columns(&self, m: &Tensor) -> Tensor {
         assert_eq!(m.shape().dim(0), self.input_dim(), "row count mismatch");
-        let mq = if self.config.activation_bits >= 16 {
-            m.clone()
-        } else if self.config.activation_bits == 4 {
-            Fixed16Tensor::quantize(m).truncate_to_int4().dequantize()
-        } else {
-            Int4Tensor::quantize_with_bits(m, self.config.activation_bits).dequantize()
-        };
+        let mq = self.quantize_activations(m);
         let projected = self.projection.project_columns(&mq);
-        let w = self.weights.dequantize();
-        let mut y = ops::matmul(&w, &projected);
+        let mut y = ops::matmul(&self.dequantized, &projected);
         let cols = y.shape().dim(1);
         for i in 0..self.output_dim() {
             let b = self.bias.data()[i];
@@ -235,7 +225,7 @@ impl ApproxLinear {
         };
         Self::from_parts(
             self.projection.clone(),
-            &self.weights.dequantize(),
+            &self.dequantized,
             self.bias.clone(),
             config,
         )
@@ -336,6 +326,132 @@ mod tests {
         // already-quantized grid.
         let back = m2.requantized(2);
         assert_eq!(back.weights().data(), m2.weights().data());
+    }
+
+    use crate::projection::tests::branchy_project;
+    use duet_tensor::fixed::Fixed16Tensor;
+
+    /// Oracle: the pre-fusion quantizer (three passes for INT4).
+    fn three_pass_quantize(m: &ApproxLinear, x: &Tensor) -> Tensor {
+        match m.config().activation_bits {
+            b if b >= 16 => x.clone(),
+            4 => Fixed16Tensor::quantize(x).truncate_to_int4().dequantize(),
+            b => Int4Tensor::quantize_with_bits(x, b).dequantize(),
+        }
+    }
+
+    /// Oracle: the pre-cache forward pass — three-pass quantizer, branchy
+    /// projection, and the weights dequantized again on every call.
+    fn per_call_forward(m: &ApproxLinear, x: &Tensor) -> Tensor {
+        let xq = three_pass_quantize(m, x);
+        let projected = branchy_project(m.projection(), &xq);
+        let mut y = ops::gemv(&m.weights().dequantize(), &projected);
+        ops::axpy(1.0, m.bias(), &mut y);
+        y
+    }
+
+    /// Oracle: the pre-cache `forward_columns`, column-wise quantizer
+    /// scale included (one scale for the whole matrix).
+    fn per_call_forward_columns(m: &ApproxLinear, x: &Tensor) -> Tensor {
+        let xq = three_pass_quantize(m, x);
+        let (d, cols) = (m.input_dim(), x.shape().dim(1));
+        let projected: Vec<Tensor> = (0..cols)
+            .map(|c| {
+                let col = (0..d).map(|j| xq.data()[j * cols + c]).collect();
+                branchy_project(m.projection(), &Tensor::from_vec(col, &[d]))
+            })
+            .collect();
+        let k = m.config().reduced_dim;
+        let p = Tensor::from_fn(&[k, cols], |i| projected[i % cols].data()[i / cols]);
+        let mut y = ops::matmul(&m.weights().dequantize(), &p);
+        for (i, row) in y.data_mut().chunks_exact_mut(cols).enumerate() {
+            for v in row {
+                *v += m.bias().data()[i];
+            }
+        }
+        y
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn forward_is_bitwise_the_per_call_dequantize_path() {
+        let mut r = seeded(31);
+        for activation_bits in [4u32, 8, 16] {
+            for weight_bits in 2..=8u32 {
+                let config = ApproxConfig {
+                    reduced_dim: 9,
+                    weight_bits,
+                    activation_bits,
+                };
+                let mut m = ApproxLinear::random(37, 11, config, &mut r);
+                let bias = rng::normal(&mut r, &[11], 0.0, 0.5);
+                m = ApproxLinear::from_quantized(
+                    m.projection().clone(),
+                    m.weights().clone(),
+                    bias,
+                    config,
+                );
+                let x = rng::normal(&mut r, &[37], 0.0, 2.0);
+                assert_eq!(
+                    bits(&m.forward(&x)),
+                    bits(&per_call_forward(&m, &x)),
+                    "a{activation_bits} w{weight_bits}"
+                );
+                let cols = rng::normal(&mut r, &[37, 5], 0.0, 2.0);
+                assert_eq!(
+                    bits(&m.forward_columns(&cols)),
+                    bits(&per_call_forward_columns(&m, &cols)),
+                    "columns a{activation_bits} w{weight_bits}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cached_weights_track_every_construction_path() {
+        let mut r = seeded(32);
+        let base = ApproxLinear::random(40, 12, ApproxConfig::paper_default(10), &mut r);
+        // Fault injection: flip one bit of every third INT4 word (sign
+        // extended back into [-8, 7]) and reassemble.
+        let w = base.weights();
+        let flipped: Vec<i8> = w
+            .data()
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                if i % 3 == 0 {
+                    ((v ^ (1 << (i % 4))) << 4) >> 4
+                } else {
+                    v
+                }
+            })
+            .collect();
+        assert_ne!(flipped, w.data());
+        let corrupted = ApproxLinear::from_quantized(
+            base.projection().clone(),
+            Int4Tensor::from_raw(flipped, w.scale(), w.shape().dims()),
+            base.bias().clone(),
+            *base.config(),
+        );
+        let laddered = base.requantized(2).requantized(4);
+        let x = rng::normal(&mut r, &[40], 0.0, 1.0);
+        for m in [
+            &base,
+            &corrupted,
+            &base.requantized(2),
+            &laddered,
+            &base.clone(),
+        ] {
+            let xq = fake_quantize_int4_truncated(&x);
+            let mut fresh = ops::gemv(&m.weights().dequantize(), &m.projection().project(&xq));
+            ops::axpy(1.0, m.bias(), &mut fresh);
+            assert_eq!(bits(&m.forward(&x)), bits(&fresh));
+        }
+        assert_ne!(bits(&corrupted.forward(&x)), bits(&base.forward(&x)));
+        assert_ne!(laddered.weights(), base.weights());
     }
 
     #[test]

@@ -11,6 +11,21 @@
 //! and additions — the paper's Alignment Units + Adder Trees (§III-B
 //! step 2). [`TernaryProjection::project`] mirrors that: no
 //! multiplications on the data path.
+//!
+//! At construction the dense ±1/0 array is compiled into column-major
+//! signed index lists: for every input `j`, the outputs `i` with
+//! `P[i][j] = +1` and, separately, those with `P[i][j] = −1`. Projecting
+//! walks the inputs in ascending `j` and runs `out[i] += x[j]` /
+//! `out[i] -= x[j]` over the two lists, so each output still sees exactly
+//! the add/sub sequence of a row-major scan (ascending `j`, starting from
+//! 0.0) and the result is bit for bit the same. Consecutive adds hit
+//! different outputs, so the loop has no data-dependent branch and no
+//! serial dependency chain. It still mirrors the adder tree: a tap is one
+//! sign-aligned add, nothing on the data path multiplies, and the only
+//! multiply is the shared scale applied once per output at the end. The
+//! compiled tap count is therefore the number of adds the Speculator's
+//! adder tree performs, which
+//! [`TernaryProjection::additions_per_projection`] reports in O(1).
 
 use duet_tensor::rng::Rng;
 use duet_tensor::Tensor;
@@ -24,6 +39,12 @@ pub struct TernaryProjection {
     k: usize,
     d: usize,
     scale: f32,
+    /// Output indices of the non-zero entries, column by column: for input
+    /// `j`, the `+1` outputs are `taps[bounds[2j]..bounds[2j + 1]]` and the
+    /// `−1` outputs `taps[bounds[2j + 1]..bounds[2j + 2]]`.
+    taps: Vec<u32>,
+    /// `2d + 1` offsets into `taps`.
+    bounds: Vec<usize>,
 }
 
 impl TernaryProjection {
@@ -39,7 +60,7 @@ impl TernaryProjection {
             k <= d,
             "reduced dim k = {k} must not exceed input dim d = {d}"
         );
-        let entries = (0..k * d)
+        let entries: Vec<i8> = (0..k * d)
             .map(|_| {
                 let u: f32 = rng.random();
                 if u < 1.0 / 6.0 {
@@ -51,11 +72,14 @@ impl TernaryProjection {
                 }
             })
             .collect();
+        let (taps, bounds) = compile(&entries, d);
         Self {
             entries,
             k,
             d,
             scale: (3.0 / k as f32).sqrt(),
+            taps,
+            bounds,
         }
     }
 
@@ -81,37 +105,53 @@ impl TernaryProjection {
 
     /// Fraction of non-zero entries (expected ≈ 1/3).
     pub fn density(&self) -> f64 {
-        self.entries.iter().filter(|&&e| e != 0).count() as f64 / self.entries.len() as f64
+        self.taps.len() as f64 / self.entries.len() as f64
+    }
+
+    /// The `+1` and `−1` output lists of input `j`.
+    fn column(&self, j: usize) -> (&[u32], &[u32]) {
+        let (lo, mid, hi) = (
+            self.bounds[2 * j],
+            self.bounds[2 * j + 1],
+            self.bounds[2 * j + 2],
+        );
+        (&self.taps[lo..mid], &self.taps[mid..hi])
     }
 
     /// Projects a vector: `x' = P x`, computed with additions and
     /// subtractions only, then one scalar scale.
+    ///
+    /// Runs the compiled column lists: for each input `j` in ascending
+    /// order, `x[j]` is added to its `+1` outputs and subtracted from its
+    /// `−1` outputs. Every output accumulates the same sequence a row-wise
+    /// scan of `P` would, so the result does not depend on the layout.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != d`.
     pub fn project(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.len(), self.d, "projection input length mismatch");
-        let xd = x.data();
         let mut out = Tensor::zeros(&[self.k]);
         let od = out.data_mut();
-        for (i, o) in od.iter_mut().enumerate() {
-            let row = &self.entries[i * self.d..(i + 1) * self.d];
-            let mut acc = 0.0f32;
-            for (&e, &v) in row.iter().zip(xd) {
-                match e {
-                    1 => acc += v,
-                    -1 => acc -= v,
-                    _ => {}
-                }
+        for (j, &v) in x.data().iter().enumerate() {
+            let (plus, minus) = self.column(j);
+            for &i in plus {
+                od[i as usize] += v;
             }
-            *o = acc * self.scale;
+            for &i in minus {
+                od[i as usize] -= v;
+            }
+        }
+        for o in od.iter_mut() {
+            *o *= self.scale;
         }
         out
     }
 
     /// Projects every column of a `[d, cols]` matrix (the im2col patch
-    /// matrix of a CONV layer): returns `[k, cols]`.
+    /// matrix of a CONV layer): returns `[k, cols]`. Runs the same compiled
+    /// lists as [`TernaryProjection::project`], a whole input row at a
+    /// time, so every output column equals `project` of that column.
     ///
     /// # Panics
     ///
@@ -123,27 +163,24 @@ impl TernaryProjection {
         let md = m.data();
         let mut out = Tensor::zeros(&[self.k, cols]);
         let od = out.data_mut();
-        for i in 0..self.k {
-            let row = &self.entries[i * self.d..(i + 1) * self.d];
-            let orow = &mut od[i * cols..(i + 1) * cols];
-            for (j, &e) in row.iter().enumerate() {
-                if e == 0 {
-                    continue;
-                }
-                let mrow = &md[j * cols..(j + 1) * cols];
-                if e == 1 {
-                    for (o, &v) in orow.iter_mut().zip(mrow) {
-                        *o += v;
-                    }
-                } else {
-                    for (o, &v) in orow.iter_mut().zip(mrow) {
-                        *o -= v;
-                    }
+        for j in 0..self.d {
+            let mrow = &md[j * cols..(j + 1) * cols];
+            let (plus, minus) = self.column(j);
+            for &i in plus {
+                let i = i as usize;
+                for (o, &v) in od[i * cols..(i + 1) * cols].iter_mut().zip(mrow) {
+                    *o += v;
                 }
             }
-            for o in orow.iter_mut() {
-                *o *= self.scale;
+            for &i in minus {
+                let i = i as usize;
+                for (o, &v) in od[i * cols..(i + 1) * cols].iter_mut().zip(mrow) {
+                    *o -= v;
+                }
             }
+        }
+        for o in od.iter_mut() {
+            *o *= self.scale;
         }
         out
     }
@@ -160,18 +197,137 @@ impl TernaryProjection {
         )
     }
 
-    /// Number of add/sub operations one projection costs (non-zero entry
-    /// count) — the quantity the Speculator's adder tree actually performs.
+    /// Number of add/sub operations one projection costs — the compiled
+    /// tap count, i.e. exactly the adds [`TernaryProjection::project`]
+    /// executes and the Speculator's adder tree performs.
     pub fn additions_per_projection(&self) -> usize {
-        self.entries.iter().filter(|&&e| e != 0).count()
+        self.taps.len()
     }
 }
 
+/// Compiles row-major ternary `entries [k, d]` into the column-major
+/// signed tap lists described on [`TernaryProjection`]: count the taps of
+/// each (input, sign) list, prefix-sum the counts into `bounds`, then place
+/// the taps in one row-major sweep.
+fn compile(entries: &[i8], d: usize) -> (Vec<u32>, Vec<usize>) {
+    let slot = |j: usize, e: i8| 2 * j + usize::from(e < 0);
+    let mut bounds = vec![0usize; 2 * d + 1];
+    for row in entries.chunks_exact(d) {
+        for (j, &e) in row.iter().enumerate() {
+            if e != 0 {
+                bounds[slot(j, e) + 1] += 1;
+            }
+        }
+    }
+    for s in 1..bounds.len() {
+        bounds[s] += bounds[s - 1];
+    }
+    let mut next = bounds.clone();
+    let mut taps = vec![0u32; bounds[2 * d]];
+    for (i, row) in entries.chunks_exact(d).enumerate() {
+        let i = u32::try_from(i).expect("reduced dim exceeds u32");
+        for (j, &e) in row.iter().enumerate() {
+            if e != 0 {
+                let s = slot(j, e);
+                taps[next[s]] = i;
+                next[s] += 1;
+            }
+        }
+    }
+    (taps, bounds)
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use duet_tensor::ops;
     use duet_tensor::rng::{self, seeded};
+
+    /// Oracle: the row-major branchy scan `project` ran before the taps
+    /// were compiled.
+    pub(crate) fn branchy_project(p: &TernaryProjection, x: &Tensor) -> Tensor {
+        let (k, d) = (p.reduced_dim(), p.input_dim());
+        let out = (0..k)
+            .map(|i| {
+                let mut acc = 0.0f32;
+                for (&e, &v) in p.entries()[i * d..(i + 1) * d].iter().zip(x.data()) {
+                    match e {
+                        1 => acc += v,
+                        -1 => acc -= v,
+                        _ => {}
+                    }
+                }
+                acc * p.scale()
+            })
+            .collect();
+        Tensor::from_vec(out, &[k])
+    }
+
+    /// Oracle: the row-major `project_columns` that ran before.
+    fn branchy_project_columns(p: &TernaryProjection, m: &Tensor) -> Tensor {
+        let (k, d, cols) = (p.reduced_dim(), p.input_dim(), m.shape().dim(1));
+        let md = m.data();
+        let mut out = Tensor::zeros(&[k, cols]);
+        let od = out.data_mut();
+        for i in 0..k {
+            let orow = &mut od[i * cols..(i + 1) * cols];
+            for (j, &e) in p.entries()[i * d..(i + 1) * d].iter().enumerate() {
+                let mrow = &md[j * cols..(j + 1) * cols];
+                match e {
+                    1 => orow.iter_mut().zip(mrow).for_each(|(o, &v)| *o += v),
+                    -1 => orow.iter_mut().zip(mrow).for_each(|(o, &v)| *o -= v),
+                    _ => {}
+                }
+            }
+            for o in orow.iter_mut() {
+                *o *= p.scale();
+            }
+        }
+        out
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Seeded inputs with signed zeros and wide magnitudes mixed in, so
+    /// any reordering of the adds would show in the low bits.
+    fn oracle_input(r: &mut Rng, dims: &[usize]) -> Tensor {
+        let mut t = rng::normal(r, dims, 0.0, 1.0);
+        for (i, v) in t.data_mut().iter_mut().enumerate() {
+            match i % 7 {
+                0 => *v = -0.0,
+                3 => *v *= 1.0e6,
+                5 => *v *= 1.0e-6,
+                _ => {}
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn compiled_project_is_bitwise_the_branchy_scan() {
+        let mut r = seeded(11);
+        for (d, k) in [(1, 1), (37, 1), (37, 5), (37, 37), (1152, 64), (1152, 1152)] {
+            let p = TernaryProjection::sample(d, k, &mut r);
+            for _ in 0..3 {
+                let x = oracle_input(&mut r, &[d]);
+                assert_eq!(
+                    bits(&p.project(&x)),
+                    bits(&branchy_project(&p, &x)),
+                    "d = {d}, k = {k}"
+                );
+            }
+            for cols in [1, 3] {
+                let m = oracle_input(&mut r, &[d, cols]);
+                assert_eq!(
+                    bits(&p.project_columns(&m)),
+                    bits(&branchy_project_columns(&p, &m)),
+                    "d = {d}, k = {k}, cols = {cols}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn density_near_one_third() {

@@ -134,6 +134,41 @@ impl Fixed16Tensor {
     }
 }
 
+/// The Speculator's Quantizer as one pass: quantize `t` to INT16 with a
+/// max-abs scale, truncate to INT4 (§III-B step 1) and dequantize, writing
+/// only the output tensor. Equal bit for bit to
+/// `Fixed16Tensor::quantize(t).truncate_to_int4().dequantize()`: the same
+/// scale and the same `x / scale`, rounded half away from zero with exact
+/// integer arithmetic instead of a libm `round` call. A NaN element maps to
+/// 0, as the saturating cast of the three-pass form does.
+pub fn fake_quantize_int4_truncated(t: &Tensor) -> Tensor {
+    let max_abs = t.max_abs();
+    let scale = if max_abs == 0.0 {
+        1.0
+    } else {
+        max_abs / i16::MAX as f32
+    };
+    let step = scale * TRUNC_SCALE;
+    Tensor::from_vec(
+        t.data()
+            .iter()
+            .map(|&x| (round_to_i16(x / scale) >> TRUNC_BITS) as f32 * step)
+            .collect(),
+        t.shape().dims(),
+    )
+}
+
+/// `v.round().clamp(i16::MIN, i16::MAX)` as an integer, NaN → 0. Clamping
+/// first commutes with rounding (both are monotone and the bounds are
+/// integers), and then `v - trunc(v)` is exact (Sterbenz), so comparing
+/// that fraction with ±0.5 rounds half away from zero exactly.
+fn round_to_i16(v: f32) -> i32 {
+    let v = v.clamp(i16::MIN as f32, i16::MAX as f32);
+    let t = v as i32;
+    let frac = v - t as f32;
+    t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)
+}
+
 /// A narrow-integer tensor with a single FP32 scale — the Speculator's
 /// number format. The default width is INT4 (one nibble per `i8`, values
 /// in [-8, 7]); [`Int4Tensor::quantize_with_bits`] widens it up to INT8
@@ -358,6 +393,88 @@ mod tests {
         for (a, b) in t.data().iter().zip(back.data()) {
             assert!((a - b).abs() <= 0.2, "{a} vs {b}");
         }
+    }
+
+    /// Oracle: the three-pass quantizer the fused one replaced.
+    fn three_pass(t: &Tensor) -> Tensor {
+        Fixed16Tensor::quantize(t).truncate_to_int4().dequantize()
+    }
+
+    fn assert_fused_matches(t: &Tensor) {
+        let fused: Vec<u32> = fake_quantize_int4_truncated(t)
+            .data()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let oracle: Vec<u32> = three_pass(t).data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(fused, oracle, "input {:?}", t.data());
+    }
+
+    fn ulp_neighbours(v: f32) -> [f32; 3] {
+        [
+            f32::from_bits(v.to_bits() - 1),
+            v,
+            f32::from_bits(v.to_bits() + 1),
+        ]
+    }
+
+    #[test]
+    fn fused_quantizer_matches_three_pass_on_zero_and_extremes() {
+        let zeros = Tensor::zeros(&[5]);
+        assert_eq!(Fixed16Tensor::quantize(&zeros).scale(), 1.0);
+        assert_fused_matches(&zeros);
+        assert_fused_matches(&Tensor::from_vec(vec![-0.0, 0.0, -0.0], &[3]));
+        for m in [1.0e-30f32, 1.0e-3, 1.0, 3.0e4, 1.0e30, f32::MAX] {
+            assert_fused_matches(&Tensor::from_vec(vec![m, -m, 0.5 * m, -m], &[4]));
+            assert_fused_matches(&Tensor::from_vec(vec![-m, 0.25 * m], &[2]));
+        }
+        // a subnormal maximum underflows the scale to 0 (x / 0 = ±inf, 0/0 = NaN)
+        let tiny = f32::from_bits(1);
+        assert_fused_matches(&Tensor::from_vec(vec![tiny, -tiny, 0.0], &[3]));
+        // an infinite maximum makes every finite element 0 and inf/inf NaN
+        assert_fused_matches(&Tensor::from_vec(vec![f32::INFINITY, 1.0, -2.0], &[3]));
+        assert_fused_matches(&Tensor::from_vec(vec![f32::NEG_INFINITY, 1.0], &[2]));
+    }
+
+    #[test]
+    fn fused_quantizer_matches_three_pass_on_halfway_values_and_nan() {
+        // With 32767 present the INT16 scale is exactly 1.0, so each element
+        // reaches the rounder unchanged: exact ±k.5 ties, including those
+        // on either side of a 4096 truncation boundary, and their one-ULP
+        // neighbours.
+        let mut vals = vec![32767.0f32];
+        for k in [
+            0.5f32, 1.5, 2.5, 7.5, 2047.5, 4095.5, 4096.5, 12287.5, 32766.5,
+        ] {
+            for v in ulp_neighbours(k) {
+                vals.extend([v, -v]);
+            }
+        }
+        for m in 1..8 {
+            for v in ulp_neighbours(4096.0 * m as f32 - 0.5) {
+                vals.extend([v, -v]);
+            }
+        }
+        vals.extend([f32::NAN, -f32::NAN]);
+        let t = Tensor::from_vec(vals.clone(), &[vals.len()]);
+        assert_eq!(Fixed16Tensor::quantize(&t).scale(), 1.0);
+        assert_fused_matches(&t);
+        // ties at the INT16 clamp
+        assert_fused_matches(&Tensor::from_vec(vec![32767.5, -32768.5, -32767.5], &[3]));
+        // NaN alone (max_abs ignores it) and NaN next to ±max
+        assert_fused_matches(&Tensor::from_vec(vec![f32::NAN, 0.0], &[2]));
+        assert_fused_matches(&Tensor::from_vec(vec![f32::NAN, 3.0, -3.0], &[3]));
+    }
+
+    #[test]
+    fn fused_quantizer_matches_three_pass_on_seeded_tensors() {
+        let mut r = crate::rng::seeded(21);
+        for n in [1usize, 2, 7, 64, 1152] {
+            for std in [1.0e-4f32, 1.0, 300.0] {
+                assert_fused_matches(&crate::rng::normal(&mut r, &[n], 0.0, std));
+            }
+        }
+        assert_fused_matches(&crate::rng::normal(&mut r, &[9, 16], 0.0, 1.0));
     }
 
     #[test]

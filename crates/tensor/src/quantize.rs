@@ -8,16 +8,14 @@
 use crate::fixed::{Fixed16Tensor, Int4Tensor};
 use crate::tensor::Tensor;
 
+/// Quantizes to the Speculator's INT4 (via the hardware 16→4 truncation
+/// path) and dequantizes, in one pass.
+pub use crate::fixed::fake_quantize_int4_truncated;
+
 /// Quantizes to INT16-with-scale and immediately dequantizes, returning the
 /// value the Executor datapath would actually see.
 pub fn fake_quantize_int16(t: &Tensor) -> Tensor {
     Fixed16Tensor::quantize(t).dequantize()
-}
-
-/// Quantizes to the Speculator's INT4 (via the hardware 16→4 truncation
-/// path) and dequantizes.
-pub fn fake_quantize_int4_truncated(t: &Tensor) -> Tensor {
-    Fixed16Tensor::quantize(t).truncate_to_int4().dequantize()
 }
 
 /// Quantizes to a `bits`-wide integer grid (round-to-nearest) and

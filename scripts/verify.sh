@@ -11,6 +11,14 @@ cargo build --workspace --release --offline
 echo "== cargo test --offline =="
 cargo test -q --workspace --offline
 
+echo "== perfbench build + tests =="
+# The benchmark (perfbench/) is a separate workspace with path
+# dependencies on crates/*, so the workspace-wide steps above do not
+# build it. Building and testing it here makes a library API change that
+# breaks the benchmark fail verify.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test (DUET_NUM_THREADS=4) =="
 # Simulator results must be bitwise thread-count invariant; re-run the
 # sim suite with a pinned 4-thread fan-out to catch divergence.
