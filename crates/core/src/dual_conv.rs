@@ -5,6 +5,19 @@
 //! per output *element* (channel × position); after ReLU it doubles as the
 //! next layer's input-sparsity map (IMap) including the §III-C correction
 //! step.
+//!
+//! The executor does not walk the im2col matrix. Once per call it
+//! compacts each output position's non-zero patch operands into a list
+//! of `(j, v)` in ascending patch index `j`
+//! ([`duet_tensor::im2col::PatchOperands`], built straight from the
+//! `[C, H, W]` input), and a sensitive output `(k, p)` reduces
+//! `bias[k] + Σ w[k, j] · v` over position `p`'s list — contiguous reads
+//! and no per-element branch, the compacted-operand form SparseNN-style
+//! accelerators rely on. The add order is unchanged from a zero-skipping
+//! walk down im2col column `p`: the list keeps exactly the elements that
+//! walk adds (`v != 0.0`, so `±0.0` and padding taps are dropped and NaN
+//! kept), in the same ascending `j`. ReLU and the correction step then
+//! run one 64-output map word at a time.
 
 use crate::approx::{ApproxConfig, ApproxLinear};
 use crate::distill;
@@ -12,7 +25,7 @@ use crate::engine::{EngineCosts, ExecutorWeightBytes, Gather, MacMode, Speculati
 use crate::guard::SpeculationGuard;
 use crate::metrics::SavingsReport;
 use crate::switching::{SwitchingMap, SwitchingPolicy};
-use duet_tensor::im2col::{im2col, ConvGeometry};
+use duet_tensor::im2col::{im2col, ConvGeometry, PatchOperands};
 use duet_tensor::rng::Rng;
 use duet_tensor::{ops, Tensor};
 
@@ -140,10 +153,13 @@ impl DualConvLayer {
     /// Dual-module forward pass.
     ///
     /// `imap`, when given, is the previous layer's corrected OMap reused as
-    /// the input-sparsity map: MACs whose input element is flagged
-    /// ineffectual (zero) are skipped in the accounting, mirroring the
-    /// per-PE tag-bit logic of Fig. 6. It must have length
-    /// `C·H·W` of this layer's input.
+    /// the input-sparsity map, mirroring the per-PE tag-bit logic of
+    /// Fig. 6. Only its presence is consulted: with an IMap, MACs on zero
+    /// inputs are left out of the issued count (`executor_macs`); without
+    /// one they are counted as issued. Its bits are not read — the
+    /// executor skips exact zero inputs in the arithmetic either way, and
+    /// the corrected OMap marks exactly the non-zero outputs. It must have
+    /// length `C·H·W` of this layer's input.
     ///
     /// # Panics
     ///
@@ -192,58 +208,55 @@ impl DualConvLayer {
 
         let mut engine = SpeculationEngine::new();
 
-        // Speculator: approximate the whole output map.
-        let cols = im2col(input, &self.geom);
-        let mut y_approx = self.approx.forward_columns(&cols); // [K, positions]
-
-        // Switching map over all output elements.
-        let flat = y_approx.reshaped(&[k * positions]);
+        // Speculator: approximate the whole output map, then flatten it
+        // in place for the switching map over all output elements.
+        let mut y = self.approx.forward_columns(&im2col(input, &self.geom)); // [K, positions]
+        y.reshape_inplace(&[k * positions]);
         let map = match guard {
-            Some(g) => engine.speculate_guarded(policy, &flat, g),
-            None => engine.speculate(policy, &flat),
+            Some(g) => engine.speculate_guarded(policy, &y, g),
+            None => engine.speculate(policy, &y),
         };
 
         // Executor + Eq. (2) mix: recompute sensitive elements exactly,
-        // in place over the approximate map; skip zero inputs in the MAC
-        // accounting only when an IMap is present (input-sparsity
-        // skipping costs nothing extra because ineffectual values are
-        // exact zeros — without an IMap the PE still issues them).
-        let cd = cols.data();
+        // in place over the approximate map, each over its position's
+        // compacted non-zero operands (same operands and add order as
+        // the zero-skipping im2col column walk, see the module docs).
+        // Zero inputs are skipped in the MAC accounting only when an IMap
+        // is present (input-sparsity skipping costs nothing extra because
+        // ineffectual values are exact zeros — without an IMap the PE
+        // still issues them).
+        let operands = PatchOperands::new(input, &self.geom);
         let fd = self.filters.data();
         let bd = self.bias.data();
         let count_skipped = imap.is_none();
-        engine.execute_into(&map, y_approx.data_mut(), |idx, kernel| {
+        engine.execute_into(&map, y.data_mut(), |idx, kernel| {
             let (kk, p) = (idx / positions, idx % positions);
             kernel.dot(
                 bd[kk],
                 &fd[kk * d..(kk + 1) * d],
-                Gather::Column {
-                    data: cd,
-                    stride: positions,
-                    col: p,
-                },
+                Gather::Compact(operands.position(p)),
                 MacMode::SkipZeroInputs { count_skipped },
             )
         });
 
-        // ReLU + §III-C correction step: predicted-effectual neurons that
-        // die in ReLU flip to insensitive in the stored OMap.
-        let mut omap = map.clone();
-        let mut output = y_approx;
-        for (i, v) in output.data_mut().iter_mut().enumerate() {
-            *v = v.max(0.0);
-            if *v == 0.0 && omap.is_sensitive(i) {
-                omap.correct_to_insensitive(i);
+        // ReLU + §III-C correction step, one 64-output map word at a
+        // time: a predicted-effectual neuron that dies in ReLU flips to
+        // insensitive in the stored OMap, and insensitive CONV outputs
+        // are set to zero ("the ineffectual neurons are set to zero,
+        // making the OMap become the input sparsity maps for the next
+        // layer", §III-C).
+        let mut omap_words = Vec::with_capacity(map.words().len());
+        for (chunk, &word) in y.data_mut().chunks_mut(64).zip(map.words()) {
+            let mut corrected = 0u64;
+            for (bit, v) in chunk.iter_mut().enumerate() {
+                let r = v.max(0.0);
+                let sensitive = (word >> bit & 1 == 1) & (r != 0.0);
+                *v = if sensitive { r } else { 0.0 };
+                corrected |= (sensitive as u64) << bit;
             }
+            omap_words.push(corrected);
         }
-        // Insensitive CONV outputs are set to zero ("the ineffectual
-        // neurons are set to zero, making the OMap become the input
-        // sparsity maps for the next layer", §III-C).
-        for i in 0..omap.len() {
-            if !omap.is_sensitive(i) {
-                output.data_mut()[i] = 0.0;
-            }
-        }
+        let omap = SwitchingMap::from_words(omap_words, map.len());
 
         let channel_workloads: Vec<usize> = (0..k)
             .map(|kk| map.sensitive_count_in(kk * positions, (kk + 1) * positions))
@@ -262,8 +275,9 @@ impl DualConvLayer {
             executor_weight_bytes: ExecutorWeightBytes::Fixed((k * d * 2) as u64),
         });
 
+        y.reshape_inplace(&[k, oh, ow]);
         DualConvOutput {
-            output: output.reshaped(&[k, oh, ow]),
+            output: y,
             omap,
             channel_workloads,
             report,

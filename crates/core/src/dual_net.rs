@@ -129,6 +129,12 @@ impl DualConvNet {
 /// Max-pools a `[C, H, W]` tensor and (if given) its effectuality map.
 /// The pooled map marks a position effectual when any element of its
 /// window was effectual — conservative, so input skipping stays exact.
+///
+/// Windows are read as flat row slices (one offset per window row) and
+/// reduced with `best.max(v)` in row-major window order, so NaN handling
+/// is that of the sequential max. Odd trailing rows/columns are dropped
+/// (floor). Pooled positions are produced in flat index order, so the
+/// packed map's bits are set in place with no intermediate flag buffer.
 fn pool_with_map(
     x: &Tensor,
     map: Option<&SwitchingMap>,
@@ -138,33 +144,36 @@ fn pool_with_map(
     let (c, h, w) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2));
     assert!(h >= win && w >= win, "input smaller than pool window");
     let (oh, ow) = (h / win, w / win);
-    let mut out = Tensor::zeros(&[c, oh, ow]);
-    // pooled positions are visited in flat index order, so the packed map
-    // is built bit by bit with no intermediate flag buffer
-    let mut out_map = map.map(|_| SwitchingMap::empty());
+    let n = c * oh * ow;
+    let xd = x.data();
+    let mut out = Vec::with_capacity(n);
+    let mut words = map.map(|_| vec![0u64; n.div_ceil(64)]);
     for ci in 0..c {
         for oy in 0..oh {
             for ox in 0..ow {
                 let mut best = f32::NEG_INFINITY;
                 let mut any = false;
                 for dy in 0..win {
-                    for dx in 0..win {
-                        let iy = oy * win + dy;
-                        let ix = ox * win + dx;
-                        best = best.max(x.at(&[ci, iy, ix]));
+                    let start = (ci * h + oy * win + dy) * w + ox * win;
+                    for (i, &v) in (start..).zip(&xd[start..start + win]) {
+                        best = best.max(v);
                         if let Some(m) = map {
-                            any |= m.is_sensitive((ci * h + iy) * w + ix);
+                            any |= m.is_sensitive(i);
                         }
                     }
                 }
-                out.set(&[ci, oy, ox], best);
-                if let Some(om) = out_map.as_mut() {
-                    om.push(any);
+                if let Some(words) = words.as_mut() {
+                    let i = out.len();
+                    words[i / 64] |= (any as u64) << (i % 64);
                 }
+                out.push(best);
             }
         }
     }
-    (out, out_map)
+    (
+        Tensor::from_vec(out, &[c, oh, ow]),
+        words.map(|words| SwitchingMap::from_words(words, n)),
+    )
 }
 
 #[cfg(test)]
@@ -282,6 +291,56 @@ mod tests {
         assert!(!pm.is_sensitive(1));
         assert!(!pm.is_sensitive(2));
         assert!(!pm.is_sensitive(3));
+    }
+
+    #[test]
+    fn pool_matches_elementwise_reference_bitwise() {
+        // odd sizes (floor), NaN / ±inf / ±0.0 values, windows 1–3,
+        // multi-word maps with a 64-bit boundary inside a window
+        for (c, h, w, win) in [(2, 7, 5, 2), (3, 9, 11, 3), (1, 4, 4, 1), (5, 6, 13, 2)] {
+            let x = Tensor::from_fn(&[c, h, w], |i| match i % 9 {
+                0 => f32::NAN,
+                1 => -0.0,
+                2 => 0.0,
+                3 => f32::INFINITY,
+                4 => f32::NEG_INFINITY,
+                _ => ((i * 37 % 23) as f32 - 11.0) * 0.25,
+            });
+            let m = SwitchingMap::from_flags((0..x.len()).map(|i| i % 7 == 2).collect());
+            let (oh, ow) = (h / win, w / win);
+            let mut want = Vec::new();
+            let mut flags = Vec::new();
+            for ci in 0..c {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut best = f32::NEG_INFINITY;
+                        let mut any = false;
+                        for dy in 0..win {
+                            for dx in 0..win {
+                                let (iy, ix) = (oy * win + dy, ox * win + dx);
+                                best = best.max(x.at(&[ci, iy, ix]));
+                                any |= m.is_sensitive((ci * h + iy) * w + ix);
+                            }
+                        }
+                        want.push(best.to_bits());
+                        flags.push(any);
+                    }
+                }
+            }
+            let (got, got_map) = pool_with_map(&x, Some(&m), win);
+            assert_eq!(got.shape().dims(), &[c, oh, ow]);
+            let got_bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got_bits, want, "{c}x{h}x{w} win {win}");
+            assert_eq!(got_map, Some(SwitchingMap::from_flags(flags)));
+            let (plain, none) = pool_with_map(&x, None, win);
+            assert_eq!(plain.data().len(), got.data().len());
+            assert!(plain
+                .data()
+                .iter()
+                .zip(got.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert!(none.is_none());
+        }
     }
 
     #[test]

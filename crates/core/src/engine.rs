@@ -29,16 +29,14 @@ pub enum Gather<'a> {
     /// Contiguous input vector: element `j` is `x[j]` (FF rows, RNN
     /// rows).
     Dense(&'a [f32]),
-    /// One column of a row-major `[d, stride]` patch matrix: element `j`
-    /// is `data[j * stride + col]` (im2col CONV).
-    Column {
-        /// The patch matrix data.
-        data: &'a [f32],
-        /// Row stride (number of output positions).
-        stride: usize,
-        /// Column (output position) to gather.
-        col: usize,
-    },
+    /// Compacted operand list: the non-zero elements of the input as
+    /// `(j, x[j])` pairs in ascending `j`; every unlisted element is zero
+    /// (one im2col patch column, see
+    /// [`duet_tensor::im2col::PatchOperands`]). The zero inputs were
+    /// dropped when the list was built, so under every mode the row
+    /// reduces over the listed operands only, in ascending `j` — the add
+    /// sequence of a zero-input-skipping walk over the full vector.
+    Compact(&'a [(u32, f32)]),
 }
 
 /// MAC-issue semantics of one row: what is computed, skipped, and
@@ -114,35 +112,6 @@ impl RowKernel {
                 self.macs += weights.len() as u64;
                 self.weight_words += weights.len() as u64;
             }
-            (Gather::Column { data, stride, col }, MacMode::SkipZeroInputs { count_skipped }) => {
-                for (j, &w) in weights.iter().enumerate() {
-                    let v = data[j * stride + col];
-                    if v != 0.0 {
-                        acc += w * v;
-                        self.macs += 1;
-                    } else if count_skipped {
-                        self.macs += 1;
-                    }
-                }
-            }
-            // The remaining combinations are well-defined but unused;
-            // handle them generically so the kernel stays total.
-            (Gather::Column { data, stride, col }, MacMode::Dense) => {
-                for (j, &w) in weights.iter().enumerate() {
-                    acc += w * data[j * stride + col];
-                }
-                self.macs += weights.len() as u64;
-                self.weight_words += weights.len() as u64;
-            }
-            (Gather::Column { data, stride, col }, MacMode::SkipZeroWeights) => {
-                for (j, &w) in weights.iter().enumerate() {
-                    if w != 0.0 {
-                        acc += w * data[j * stride + col];
-                        self.macs += 1;
-                        self.weight_words += 1;
-                    }
-                }
-            }
             (Gather::Dense(xd), MacMode::SkipZeroInputs { count_skipped }) => {
                 for (&w, &v) in weights.iter().zip(xd) {
                     if v != 0.0 {
@@ -152,6 +121,21 @@ impl RowKernel {
                         self.macs += 1;
                     }
                 }
+            }
+            // One MAC per listed operand; only a row whose skipped zeros
+            // still occupy issue slots (no IMap) counts the full row.
+            // Weight words are not counted: the one user, CONV, charges
+            // its filter bank as a fixed load.
+            (Gather::Compact(ops), mode) => {
+                for &(j, v) in ops {
+                    acc += weights[j as usize] * v;
+                }
+                self.macs += match mode {
+                    MacMode::SkipZeroInputs {
+                        count_skipped: true,
+                    } => weights.len(),
+                    _ => ops.len(),
+                } as u64;
             }
         }
         acc
@@ -514,39 +498,36 @@ mod tests {
     }
 
     #[test]
-    fn column_gather_strides() {
+    fn compact_gather_counts_skipped_zeros() {
         let mut k = RowKernel {
             macs: 0,
             weight_words: 0,
         };
-        // 2×3 patch matrix, column 1 is [20, 0]
-        let data = [10.0f32, 20.0, 30.0, 40.0, 0.0, 60.0];
-        let w = [1.0f32, 1.0];
-        let g = Gather::Column {
-            data: &data,
-            stride: 3,
-            col: 1,
-        };
+        // input [20, 0, 5]: the zero is not listed
+        let ops = [(0u32, 20.0f32), (2, 5.0)];
+        let w = [1.0f32, 7.0, 2.0];
+        let g = Gather::Compact(&ops);
         let y = k.dot(
-            0.0,
+            0.5,
             &w,
             g,
             MacMode::SkipZeroInputs {
                 count_skipped: true,
             },
         );
-        assert_eq!(y, 20.0);
-        assert_eq!(k.macs, 2, "skipped MAC still issued without an IMap");
+        assert_eq!(y, 30.5);
+        assert_eq!(k.macs, 3, "skipped MAC still issued without an IMap");
         let y = k.dot(
-            0.0,
+            0.5,
             &w,
             g,
             MacMode::SkipZeroInputs {
                 count_skipped: false,
             },
         );
-        assert_eq!(y, 20.0);
-        assert_eq!(k.macs, 3, "with an IMap the zero input costs nothing");
+        assert_eq!(y, 30.5);
+        assert_eq!(k.macs, 5, "with an IMap the zero input costs nothing");
+        assert_eq!(k.weight_words, 0);
     }
 
     #[test]

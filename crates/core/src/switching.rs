@@ -94,13 +94,21 @@ impl SwitchingPolicy {
     }
 
     /// Generates the switching map for a vector of approximate
-    /// pre-activations.
+    /// pre-activations, one packed word (64 predicate results) at a time.
     pub fn map(&self, y_approx: &Tensor) -> SwitchingMap {
-        y_approx
-            .data()
-            .iter()
-            .map(|&y| self.is_sensitive(y))
-            .collect()
+        let y = y_approx.data();
+        let mut words = Vec::with_capacity(y.len().div_ceil(64));
+        for chunk in y.chunks(64) {
+            let mut word = 0u64;
+            for (bit, &v) in chunk.iter().enumerate() {
+                word |= (self.is_sensitive(v) as u64) << bit;
+            }
+            words.push(word);
+        }
+        SwitchingMap {
+            words,
+            len: y.len(),
+        }
     }
 }
 
@@ -155,6 +163,20 @@ impl SwitchingMap {
         }
     }
 
+    /// Wraps packed words as an `n`-bit map (bit `i` in word `i / 64`),
+    /// clearing any bits past `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != n.div_ceil(64)`.
+    pub(crate) fn from_words(mut words: Vec<u64>, n: usize) -> Self {
+        assert_eq!(words.len(), n.div_ceil(64), "word count mismatch");
+        if let Some(last) = words.last_mut() {
+            *last &= tail_mask(n);
+        }
+        Self { words, len: n }
+    }
+
     /// Number of neurons covered.
     pub fn len(&self) -> usize {
         self.len
@@ -187,12 +209,11 @@ impl SwitchingMap {
 
     /// Appends one neuron's flag.
     pub fn push(&mut self, sensitive: bool) {
-        if self.len.is_multiple_of(64) {
+        let bit = self.len % 64;
+        if bit == 0 {
             self.words.push(0);
         }
-        if sensitive {
-            *self.words.last_mut().expect("word just ensured") |= 1u64 << (self.len % 64);
-        }
+        *self.words.last_mut().expect("word just ensured") |= (sensitive as u64) << bit;
         self.len += 1;
     }
 
@@ -728,6 +749,51 @@ mod tests {
                 assert_eq!(got[0].0, hot / 64, "len {n} hot {hot}");
                 assert_eq!(got[0].1, 1u64 << (hot % 64), "len {n} hot {hot}");
                 assert_eq!(m.popcount_words().sum::<u32>(), 1, "len {n} hot {hot}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_built_map_matches_flag_by_flag_oracle() {
+        let theta = 0.75f32;
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            theta,
+            -theta,
+            f32::from_bits(theta.to_bits() + 1),
+            f32::from_bits(theta.to_bits() - 1),
+        ];
+        let policies = [
+            SwitchingPolicy::relu(theta),
+            SwitchingPolicy::sigmoid(theta),
+            SwitchingPolicy::tanh(theta),
+            SwitchingPolicy::gelu(theta),
+            SwitchingPolicy::magnitude(theta),
+        ];
+        for n in [0usize, 1, 63, 64, 65, 130] {
+            let y = Tensor::from_fn(&[n], |i| match i % 13 {
+                k if k < specials.len() => specials[k],
+                k => (k as f32 - 10.0) * 0.5,
+            });
+            for p in &policies {
+                let flags: Vec<bool> = y.data().iter().map(|&v| p.is_sensitive(v)).collect();
+                let mut want = vec![0u64; n.div_ceil(64)];
+                for (i, &f) in flags.iter().enumerate() {
+                    if f {
+                        want[i / 64] |= 1 << (i % 64);
+                    }
+                }
+                let m = p.map(&y);
+                assert_eq!(m.len(), n, "{p:?} len {n}");
+                // exact words, so the tail bits past `n` are zero
+                assert_eq!(m.words(), &want[..], "{p:?} len {n}");
+                assert_eq!(flags_of(&m), flags, "{p:?} len {n}");
+                // the push path builds the same words
+                assert_eq!(SwitchingMap::from_flags(flags).words(), &want[..]);
             }
         }
     }

@@ -121,6 +121,101 @@ pub fn im2col(input: &Tensor, geom: &ConvGeometry) -> Tensor {
     out
 }
 
+/// The non-zero entries of every [`im2col`] patch column, compacted per
+/// output position (CSR): position `p`'s list holds `(j, v)` for each
+/// patch row `j` whose value `v = patches[j, p]` is non-zero, in
+/// ascending `j`.
+///
+/// It is built straight from the `[C, H, W]` input, never materialising
+/// the `[C·R·S, out_h·out_w]` matrix: padding taps (which [`im2col`]
+/// writes as `0.0`) are never emitted, and input elements are kept iff
+/// `v != 0.0` — so `±0.0` is dropped and NaN is kept. A dot product over
+/// one list is therefore the zero-skipping walk down one patch column
+/// with the same operands in the same order, read contiguously.
+#[derive(Debug, Clone)]
+pub struct PatchOperands {
+    /// `starts[p]..starts[p + 1]` indexes position `p`'s entries.
+    starts: Vec<usize>,
+    entries: Vec<(u32, f32)>,
+}
+
+impl PatchOperands {
+    /// Compacts the patch columns of `input` under `geom`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not have shape `[C, H, W]` matching `geom`,
+    /// or if the patch length does not fit in `u32`.
+    pub fn new(input: &Tensor, geom: &ConvGeometry) -> Self {
+        assert_eq!(input.shape().rank(), 3, "im2col input must be [C,H,W]");
+        assert_eq!(input.shape().dim(0), geom.in_channels, "channel mismatch");
+        assert_eq!(input.shape().dim(1), geom.in_h, "height mismatch");
+        assert_eq!(input.shape().dim(2), geom.in_w, "width mismatch");
+        assert!(
+            u32::try_from(geom.patch_len()).is_ok(),
+            "patch length {} exceeds u32",
+            geom.patch_len()
+        );
+
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        let (kh, kw, pad) = (geom.kernel_h, geom.kernel_w, geom.padding);
+        let id = input.data();
+        // Each input element lands in at most kh·kw patch columns, which
+        // bounds the list length without a counting pass. Every tap is
+        // written at the cursor, which only advances past non-zeros (no
+        // data-dependent branch), so one spare slot takes the last write.
+        let nnz_in = id.iter().filter(|&&v| v != 0.0).count();
+        let bound = (nnz_in * kh * kw).min(oh * ow * geom.patch_len());
+        let mut entries = vec![(0u32, 0.0f32); bound + 1];
+        let mut nnz = 0;
+        let mut starts = Vec::with_capacity(oh * ow + 1);
+        starts.push(0);
+        // Kernel taps of an output coordinate that fall inside the input
+        // (the rest are padding).
+        let taps = |o: usize, k: usize, len: usize| {
+            let at = o * geom.stride;
+            let lo = pad.saturating_sub(at);
+            (lo, k.min((len + pad).saturating_sub(at)).max(lo))
+        };
+        for oy in 0..oh {
+            let (ry0, ry1) = taps(oy, kh, geom.in_h);
+            for ox in 0..ow {
+                let (rx0, rx1) = taps(ox, kw, geom.in_w);
+                if rx0 < rx1 {
+                    let x0 = ox * geom.stride + rx0 - pad;
+                    for c in 0..geom.in_channels {
+                        for r in ry0..ry1 {
+                            let row = (c * geom.in_h + oy * geom.stride + r - pad) * geom.in_w + x0;
+                            let j0 = (c * kh + r) * kw;
+                            for (s, &v) in (rx0..rx1).zip(&id[row..row + (rx1 - rx0)]) {
+                                entries[nnz] = ((j0 + s) as u32, v);
+                                nnz += usize::from(v != 0.0);
+                            }
+                        }
+                    }
+                }
+                starts.push(nnz);
+            }
+        }
+        entries.truncate(nnz);
+        Self { starts, entries }
+    }
+
+    /// Number of output positions (patch columns).
+    pub fn positions(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Position `p`'s non-zero `(j, v)` operands, ascending in `j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p >= self.positions()`.
+    pub fn position(&self, p: usize) -> &[(u32, f32)] {
+        &self.entries[self.starts[p]..self.starts[p + 1]]
+    }
+}
+
 /// The adjoint of [`im2col`]: scatters a patch-matrix gradient back onto a
 /// `[C, H, W]` input-gradient tensor (needed for conv backprop).
 ///
@@ -313,6 +408,55 @@ mod tests {
             &col2im(&y, &g).reshaped(&[x.len()]),
         );
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    }
+
+    #[test]
+    fn patch_operands_are_the_nonzero_im2col_entries() {
+        let geoms = [
+            // (C, H, W, R, S, stride, padding)
+            (2, 5, 5, 3, 3, 1, 0),
+            (3, 7, 6, 3, 3, 2, 1),
+            (1, 4, 9, 3, 2, 1, 1),
+            (2, 5, 4, 1, 1, 2, 0),
+            // padding wider than the kernel: some positions see only pads
+            (1, 3, 3, 1, 1, 1, 2),
+            (2, 6, 5, 5, 3, 3, 3),
+        ];
+        for (c, h, w, r, s, stride, padding) in geoms {
+            let g = ConvGeometry {
+                in_channels: c,
+                in_h: h,
+                in_w: w,
+                kernel_h: r,
+                kernel_w: s,
+                stride,
+                padding,
+            };
+            // zeros, -0.0 and NaN among ordinary values
+            let input = Tensor::from_fn(&[c, h, w], |i| match i % 7 {
+                0 => 0.0,
+                3 => -0.0,
+                5 if i % 3 == 0 => f32::NAN,
+                _ => (i as f32 * 0.37).sin(),
+            });
+            let cols = im2col(&input, &g);
+            let ops = PatchOperands::new(&input, &g);
+            let positions = g.out_positions();
+            assert_eq!(ops.positions(), positions, "{g:?}");
+            for p in 0..positions {
+                let want: Vec<(u32, u32)> = (0..g.patch_len())
+                    .map(|j| (j as u32, cols.data()[j * positions + p]))
+                    .filter(|&(_, v)| v != 0.0)
+                    .map(|(j, v)| (j, v.to_bits()))
+                    .collect();
+                let got: Vec<(u32, u32)> = ops
+                    .position(p)
+                    .iter()
+                    .map(|&(j, v)| (j, v.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "{g:?} position {p}");
+            }
+        }
     }
 
     #[test]

@@ -80,6 +80,10 @@ impl Shape {
 
     /// Flattens a multi-dimensional index into a linear offset.
     ///
+    /// Computed in one pass with no allocation (Horner's rule,
+    /// `off = off · dᵢ + ixᵢ`), which equals `Σ ixᵢ · strides()[i]`;
+    /// coordinates are bounds-checked in index order.
+    ///
     /// # Panics
     ///
     /// Panics if the index rank mismatches or any coordinate is out of
@@ -92,11 +96,10 @@ impl Shape {
             index.len(),
             self.dims.len()
         );
-        let strides = self.strides();
         let mut off = 0;
         for (i, (&ix, &d)) in index.iter().zip(&self.dims).enumerate() {
             assert!(ix < d, "index {ix} out of bounds for dim {i} of size {d}");
-            off += ix * strides[i];
+            off = off * d + ix;
         }
         off
     }
@@ -168,6 +171,50 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 15);
+    }
+
+    #[test]
+    fn offset_matches_stride_dot_product() {
+        // every index of ranks 1–4, including size-1 dims at every
+        // position, against Σ ix·strides()[i]
+        let shapes: [&[usize]; 9] = [
+            &[1],
+            &[7],
+            &[3, 1],
+            &[1, 4],
+            &[2, 3, 4],
+            &[1, 5, 1],
+            &[2, 1, 3, 2],
+            &[1, 1, 1, 1],
+            &[3, 2, 1, 4],
+        ];
+        for dims in shapes {
+            let s = Shape::new(dims);
+            let strides = s.strides();
+            let mut index = vec![0usize; dims.len()];
+            for flat in 0..s.len() {
+                let mut rest = flat;
+                for (ix, &d) in index.iter_mut().zip(dims).rev() {
+                    *ix = rest % d;
+                    rest /= d;
+                }
+                let want: usize = index.iter().zip(&strides).map(|(i, st)| i * st).sum();
+                assert_eq!(s.offset(&index), want, "{s} at {index:?}");
+                assert_eq!(want, flat, "{s} at {index:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index rank 1 != shape rank 2")]
+    fn offset_rank_mismatch_panics() {
+        Shape::new(&[2, 2]).offset(&[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index 3 out of bounds for dim 1 of size 1")]
+    fn offset_reports_first_out_of_bounds_dim() {
+        Shape::new(&[2, 1, 2]).offset(&[1, 3, 5]);
     }
 
     #[test]

@@ -5,6 +5,29 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# replay_lanes BIN ARTIFACT...: runs ./target/release/BIN --smoke at
+# DUET_NUM_THREADS=1, 4 and 7 and requires every ARTIFACT to come out
+# byte-identical across the three runs. Extra env for the runs goes in
+# front of the call (`DUET_RECORDER=1 replay_lanes ...` exports it to
+# all three). The 7-thread artifacts stay in place for follow-up checks;
+# the caller removes them.
+replay_lanes() {
+    local bin="$1" t a
+    shift
+    rm -f "$@"
+    for t in 1 4 7; do
+        DUET_NUM_THREADS=$t "./target/release/$bin" --smoke >/dev/null
+        if [ "$t" != 7 ]; then
+            for a in "$@"; do mv "$a" "$a.t$t"; done
+        fi
+    done
+    for a in "$@"; do
+        cmp "$a.t1" "$a.t4"
+        cmp "$a.t1" "$a"
+        rm -f "$a.t1" "$a.t4"
+    done
+}
+
 echo "== cargo build --release --offline =="
 cargo build --workspace --release --offline
 
@@ -61,15 +84,8 @@ echo "== fault campaign determinism (fault_campaign --smoke at 1/4/7 threads) ==
 # The fault-injection campaign must be a pure function of its seed:
 # FAULTS_smoke.json (no timings, no thread counts) has to come out
 # byte-identical at any DUET_NUM_THREADS. Smoke output is scratch.
+replay_lanes fault_campaign results/FAULTS_smoke.json
 rm -f results/FAULTS_smoke.json
-DUET_NUM_THREADS=1 ./target/release/fault_campaign --smoke >/dev/null
-mv results/FAULTS_smoke.json results/FAULTS_smoke.t1.json
-DUET_NUM_THREADS=4 ./target/release/fault_campaign --smoke >/dev/null
-mv results/FAULTS_smoke.json results/FAULTS_smoke.t4.json
-DUET_NUM_THREADS=7 ./target/release/fault_campaign --smoke >/dev/null
-cmp results/FAULTS_smoke.t1.json results/FAULTS_smoke.t4.json
-cmp results/FAULTS_smoke.t1.json results/FAULTS_smoke.json
-rm -f results/FAULTS_smoke.json results/FAULTS_smoke.t1.json results/FAULTS_smoke.t4.json
 
 echo "== serving determinism + flight recorder (serve_bench --smoke at 1/4/7 threads) =="
 # The serving layer charges virtual ticks from each batch's own MAC
@@ -83,23 +99,12 @@ echo "== serving determinism + flight recorder (serve_bench --smoke at 1/4/7 thr
 # stream — it exits nonzero unless every enqueue balances with a respond
 # and per-request stages sum to end-to-end latency — and its
 # SERVE_REPORT_smoke.json must parse. Smoke outputs are scratch.
-rm -f results/BENCH_serve_smoke.json results/RECORDER_serve_smoke.jsonl results/SERVE_REPORT_smoke.json
-DUET_NUM_THREADS=1 DUET_RECORDER=1 ./target/release/serve_bench --smoke >/dev/null
-mv results/BENCH_serve_smoke.json results/BENCH_serve_smoke.t1.json
-mv results/RECORDER_serve_smoke.jsonl results/RECORDER_serve_smoke.t1.jsonl
-DUET_NUM_THREADS=4 DUET_RECORDER=1 ./target/release/serve_bench --smoke >/dev/null
-mv results/BENCH_serve_smoke.json results/BENCH_serve_smoke.t4.json
-mv results/RECORDER_serve_smoke.jsonl results/RECORDER_serve_smoke.t4.jsonl
-DUET_NUM_THREADS=7 DUET_RECORDER=1 ./target/release/serve_bench --smoke >/dev/null
-cmp results/BENCH_serve_smoke.t1.json results/BENCH_serve_smoke.t4.json
-cmp results/BENCH_serve_smoke.t1.json results/BENCH_serve_smoke.json
-cmp results/RECORDER_serve_smoke.t1.jsonl results/RECORDER_serve_smoke.t4.jsonl
-cmp results/RECORDER_serve_smoke.t1.jsonl results/RECORDER_serve_smoke.jsonl
+rm -f results/SERVE_REPORT_smoke.json
+DUET_RECORDER=1 replay_lanes serve_bench \
+    results/BENCH_serve_smoke.json results/RECORDER_serve_smoke.jsonl
 ./target/release/obs_report --smoke >/dev/null
 test -s results/SERVE_REPORT_smoke.json
-rm -f results/BENCH_serve_smoke.json results/BENCH_serve_smoke.t1.json results/BENCH_serve_smoke.t4.json
-rm -f results/RECORDER_serve_smoke.jsonl results/RECORDER_serve_smoke.t1.jsonl results/RECORDER_serve_smoke.t4.jsonl
-rm -f results/SERVE_REPORT_smoke.json
+rm -f results/BENCH_serve_smoke.json results/RECORDER_serve_smoke.jsonl results/SERVE_REPORT_smoke.json
 
 echo "== chaos campaign determinism + control loop (control_bench --smoke at 1/4/7 threads) =="
 # The closed-loop θ-controller under chaos: the seeded campaign (guard
@@ -110,15 +115,8 @@ echo "== chaos campaign determinism + control loop (control_bench --smoke at 1/4
 # itself asserts the control invariants in-binary (zero dropped
 # requests, bounded re-admission after every injected trip, steady-tail
 # setpoint error inside the deadband). Smoke output is scratch.
+replay_lanes control_bench results/BENCH_control_smoke.json
 rm -f results/BENCH_control_smoke.json
-DUET_NUM_THREADS=1 ./target/release/control_bench --smoke >/dev/null
-mv results/BENCH_control_smoke.json results/BENCH_control_smoke.t1.json
-DUET_NUM_THREADS=4 ./target/release/control_bench --smoke >/dev/null
-mv results/BENCH_control_smoke.json results/BENCH_control_smoke.t4.json
-DUET_NUM_THREADS=7 ./target/release/control_bench --smoke >/dev/null
-cmp results/BENCH_control_smoke.t1.json results/BENCH_control_smoke.t4.json
-cmp results/BENCH_control_smoke.t1.json results/BENCH_control_smoke.json
-rm -f results/BENCH_control_smoke.json results/BENCH_control_smoke.t1.json results/BENCH_control_smoke.t4.json
 
 echo "== dual transformer (equivalence at 1/4/7 threads + transformer_bench --smoke) =="
 # The dual-attention refactor's contract: θ = −∞ is bitwise the dense
@@ -128,18 +126,11 @@ echo "== dual transformer (equivalence at 1/4/7 threads + transformer_bench --sm
 # to end — it asserts the bitwise pin and the MAC-savings invariant
 # in-binary — and its artifact must be byte-identical at 1/4/7
 # threads. Smoke outputs are scratch.
-DUET_NUM_THREADS=1 cargo test -q -p duet-core --offline --test transformer_equivalence
-DUET_NUM_THREADS=4 cargo test -q -p duet-core --offline --test transformer_equivalence
-DUET_NUM_THREADS=7 cargo test -q -p duet-core --offline --test transformer_equivalence
+for t in 1 4 7; do
+    DUET_NUM_THREADS=$t cargo test -q -p duet-core --offline --test transformer_equivalence
+done
+replay_lanes transformer_bench results/BENCH_transformer_smoke.json
 rm -f results/BENCH_transformer_smoke.json
-DUET_NUM_THREADS=1 ./target/release/transformer_bench --smoke >/dev/null
-mv results/BENCH_transformer_smoke.json results/BENCH_transformer_smoke.t1.json
-DUET_NUM_THREADS=4 ./target/release/transformer_bench --smoke >/dev/null
-mv results/BENCH_transformer_smoke.json results/BENCH_transformer_smoke.t4.json
-DUET_NUM_THREADS=7 ./target/release/transformer_bench --smoke >/dev/null
-cmp results/BENCH_transformer_smoke.t1.json results/BENCH_transformer_smoke.t4.json
-cmp results/BENCH_transformer_smoke.t1.json results/BENCH_transformer_smoke.json
-rm -f results/BENCH_transformer_smoke.json results/BENCH_transformer_smoke.t1.json results/BENCH_transformer_smoke.t4.json
 
 echo "== bench regression gate (bench_check vs results/baselines) =="
 # Every committed results/BENCH_*.json is diffed against its checked-in
